@@ -15,24 +15,25 @@ import (
 	"accuracytrader/internal/frontend"
 	"accuracytrader/internal/obs"
 	"accuracytrader/internal/service"
-	"accuracytrader/internal/stats"
 	"accuracytrader/internal/wire"
 )
 
-// ErrClosed is returned by Aggregator.Call after Close.
-var ErrClosed = errors.New("netsvc: aggregator closed")
-
-// ErrQueueFull is reported for a sub-operation shed because the target
-// component's outstanding-request window was full — the network analog
-// of service.ErrQueueFull.
-var ErrQueueFull = errors.New("netsvc: component outstanding window full")
-
-// ErrPeerDown is reported for a sub-operation refused fast because the
-// target component's circuit breaker is not closed (or its dial
-// backoff window has not elapsed): the peer is known-unhealthy, so the
-// sub-operation fails immediately instead of waiting out a timeout and
-// is eligible for rerouting under the retry budget.
-var ErrPeerDown = errors.New("netsvc: peer circuit open")
+// The failure sentinels are the service package's: one per condition,
+// whichever runtime reports it.
+var (
+	// ErrClosed is returned by Aggregator.Call after Close.
+	ErrClosed = service.ErrClosed
+	// ErrQueueFull is reported for a sub-operation shed because the
+	// target component's outstanding window, or its server's queue, was
+	// full.
+	ErrQueueFull = service.ErrQueueFull
+	// ErrPeerDown is reported for a sub-operation refused fast because
+	// the target component's circuit breaker is not closed (or its dial
+	// backoff window has not elapsed): the peer is known-unhealthy, so
+	// the sub-operation fails immediately instead of waiting out a
+	// timeout and is eligible for rerouting under the retry budget.
+	ErrPeerDown = service.ErrComponentDown
+)
 
 // AggregatorOptions configures an Aggregator.
 type AggregatorOptions struct {
@@ -81,26 +82,18 @@ type AggregatorOptions struct {
 	RetryBudget int
 	// Seed drives backoff jitter deterministically (default 1).
 	Seed uint64
-	// Metrics, when set, publishes per-peer breaker state gauges,
-	// breaker transition counters, and retry/fault counters.
+	// Metrics, when set, receives the netsvc_* fan-out series: per-peer
+	// breaker state gauges and transition counters, hedge, retry and
+	// fault counters, and the sub-operation latency histogram.
 	Metrics *obs.Registry
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
-	if o.Deadline <= 0 {
-		o.Deadline = time.Second
-	}
 	if o.MaxOutstanding <= 0 {
 		o.MaxOutstanding = 128
 	}
 	if o.ConnsPerPeer <= 0 {
 		o.ConnsPerPeer = 2
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = time.Millisecond
-	}
-	if o.ReplicaOf == nil {
-		o.ReplicaOf = func(subset, n int) int { return (subset + 1) % n }
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
@@ -143,35 +136,17 @@ type AggregatorStats struct {
 }
 
 // Aggregator is the scatter/gather client over n component servers:
-// the networked counterpart of service.Cluster, implementing
+// the service.Fanout gather core over a socket transport, implementing
 // frontend.Backend so the accuracy-aware frontend drives it unchanged.
 type Aggregator struct {
 	addrs  []string
 	opts   AggregatorOptions
 	peers  []*peer
+	core   *service.Fanout
 	nextID atomic.Uint64
-
-	mu     sync.Mutex
-	route  service.RouteFunc
-	closed bool
-
-	// Streaming sub-operation latency estimators (P², as in service).
-	estMu   sync.Mutex
-	p95est  *stats.P2Quantile
-	p999est *stats.P2Quantile
-	subOps  int
-	p95us   atomic.Uint64
-
-	hedges   atomic.Int64
-	retries  atomic.Int64
-	faults   atomic.Int64
-	inflight atomic.Int64
 
 	// ingestRR round-robins unrouted append batches across components.
 	ingestRR atomic.Uint64
-
-	mRetries *obs.Counter
-	mFaults  *obs.Counter
 	mIngests *obs.Counter
 }
 
@@ -183,59 +158,36 @@ func NewAggregator(addrs []string, opts AggregatorOptions) (*Aggregator, error) 
 		return nil, fmt.Errorf("netsvc: no component addresses")
 	}
 	opts = opts.withDefaults()
-	a := &Aggregator{
-		addrs:   addrs,
-		opts:    opts,
-		p95est:  stats.NewP2Quantile(0.95),
-		p999est: stats.NewP2Quantile(0.999),
-	}
-	a.p95us.Store(uint64(opts.HedgeFloor / time.Microsecond))
+	a := &Aggregator{addrs: addrs, opts: opts}
 	if opts.Metrics != nil {
-		a.mRetries = opts.Metrics.Counter("netsvc_retries_total")
-		a.mFaults = opts.Metrics.Counter("netsvc_faults_total")
 		a.mIngests = opts.Metrics.Counter("netsvc_ingest_forwarded_total")
 	}
+	labels := make([]string, len(addrs))
 	for i, addr := range addrs {
-		p := &peer{
+		a.peers = append(a.peers, &peer{
 			agg:     a,
 			addr:    addr,
 			idx:     i,
 			slots:   make([]*peerConn, opts.ConnsPerPeer),
 			backoff: breaker.NewBackoff(opts.RedialBase, opts.RedialMax, opts.Seed+uint64(i)*0x9e3779b97f4a7c15),
 			closeCh: make(chan struct{}),
-		}
-		bcfg := opts.Breaker
-		userHook := bcfg.OnStateChange
-		var transitions [3]*obs.Counter
-		if opts.Metrics != nil {
-			m := opts.Metrics
-			for s, label := range map[breaker.State]string{
-				breaker.Closed: "closed", breaker.Open: "open", breaker.HalfOpen: "half_open",
-			} {
-				transitions[s] = m.Counter(fmt.Sprintf(`netsvc_breaker_transitions_total{peer=%q,state=%q}`, addr, label))
-			}
-			m.GaugeFunc(fmt.Sprintf(`netsvc_breaker_state{peer=%q}`, addr), func() float64 {
-				return float64(p.br.State())
-			})
-		}
-		bcfg.OnStateChange = func(s breaker.State) {
-			if s == breaker.Open {
-				// A tripped breaker starts the background prober even when
-				// the pooled connections are still nominally alive (a
-				// stalled or partitioned peer), so recovery never depends
-				// on fresh request traffic.
-				p.kickReconnector()
-			}
-			if transitions[s] != nil {
-				transitions[s].Inc()
-			}
-			if userHook != nil {
-				userHook(s)
-			}
-		}
-		p.br = breaker.New(bcfg)
-		a.peers = append(a.peers, p)
+		})
+		labels[i] = fmt.Sprintf("peer=%q", addr)
 	}
+	a.core = service.NewFanout(sockets{a}, len(addrs), service.FanoutConfig{
+		Policy: opts.Policy, Deadline: opts.Deadline, HedgeFloor: opts.HedgeFloor,
+		ReplicaOf: opts.ReplicaOf, RetryBudget: opts.RetryBudget, Breaker: opts.Breaker,
+		// A tripped breaker starts the background prober even when the
+		// pooled connections are still nominally alive (a stalled or
+		// partitioned peer), so recovery never depends on request
+		// traffic.
+		OnBreaker: func(comp int, s breaker.State) {
+			if s == breaker.Open {
+				a.peers[comp].kickReconnector()
+			}
+		},
+		Metrics: opts.Metrics, Prefix: "netsvc", Labels: labels,
+	})
 	return a, nil
 }
 
@@ -274,16 +226,14 @@ func (a *Aggregator) QueueDepth(comp int) int {
 }
 
 // Inflight returns the number of Calls currently executing.
-func (a *Aggregator) Inflight() int { return int(a.inflight.Load()) }
+func (a *Aggregator) Inflight() int { return a.core.Inflight() }
 
 // EstimatedP95 returns the streaming 95th-percentile sub-operation
 // latency estimate (the hedge trigger delay).
-func (a *Aggregator) EstimatedP95() time.Duration {
-	return time.Duration(a.p95us.Load()) * time.Microsecond
-}
+func (a *Aggregator) EstimatedP95() time.Duration { return a.core.EstimatedP95() }
 
 // Deadline returns the configured call deadline.
-func (a *Aggregator) Deadline() time.Duration { return a.opts.Deadline }
+func (a *Aggregator) Deadline() time.Duration { return a.core.Deadline() }
 
 // Ingest forwards one append batch to its owning component and waits
 // for the acknowledgement. Unlike query sub-operations, an append is
@@ -296,12 +246,6 @@ func (a *Aggregator) Deadline() time.Duration { return a.opts.Deadline }
 func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.IngestReply {
 	fail := func(status uint8, msg string) *wire.IngestReply {
 		return &wire.IngestReply{ID: req.ID, Subset: req.Subset, Status: status, Err: msg}
-	}
-	a.mu.Lock()
-	closed := a.closed
-	a.mu.Unlock()
-	if closed {
-		return fail(wire.IngestErr, ErrClosed.Error())
 	}
 	n := len(a.peers)
 	sub := *req
@@ -316,7 +260,7 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, a.core.Deadline())
 		defer cancel()
 	}
 	type ack struct {
@@ -338,11 +282,11 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 	case got := <-ch:
 		if got.err != nil {
 			if !errors.Is(got.err, ErrClosed) && !errors.Is(got.err, ErrPeerDown) {
-				a.recordFault(nil, target, sub.Subset)
+				a.core.Fault(target)
 			}
 			return fail(wire.IngestErr, got.err.Error())
 		}
-		p.br.Success()
+		p.br().Success()
 		if a.mIngests != nil {
 			a.mIngests.Inc()
 		}
@@ -355,108 +299,50 @@ func (a *Aggregator) Ingest(ctx context.Context, req *wire.IngestRequest) *wire.
 
 // SetRouter injects a routing policy used by subsequent Calls to place
 // each sub-operation on a component; nil restores home placement.
-func (a *Aggregator) SetRouter(route service.RouteFunc) {
-	a.mu.Lock()
-	a.route = route
-	a.mu.Unlock()
-}
+func (a *Aggregator) SetRouter(route service.RouteFunc) { a.core.SetRouter(route) }
 
 // OpenBreakers returns the addresses of peers whose circuit breaker is
 // not closed — the degraded-health signal /healthz exposes.
 func (a *Aggregator) OpenBreakers() []string {
 	var open []string
-	for _, p := range a.peers {
-		if p.br.State() != breaker.Closed {
-			open = append(open, p.addr)
-		}
+	for _, i := range a.core.OpenBreakers() {
+		open = append(open, a.addrs[i])
 	}
 	return open
 }
 
 // BreakerState returns one component's breaker state.
 func (a *Aggregator) BreakerState(comp int) breaker.State {
-	return a.peers[comp].br.State()
+	return a.peers[comp].br().State()
 }
 
 // Stats returns a snapshot of the aggregator's counters.
 func (a *Aggregator) Stats() AggregatorStats {
-	var reconnects, opens int64
+	var reconnects int64
 	for _, p := range a.peers {
 		reconnects += p.reconnects.Load()
-		opens += p.br.Opens()
 	}
-	a.estMu.Lock()
-	defer a.estMu.Unlock()
-	st := AggregatorStats{
-		SubOps:       a.subOps,
-		Hedges:       a.hedges.Load(),
+	st := a.core.Stats()
+	retries, faults := a.core.Failures()
+	return AggregatorStats{
+		SubOps:       st.SubOps,
+		Hedges:       st.Hedges,
 		Reconnects:   reconnects,
-		Retries:      a.retries.Load(),
-		Faults:       a.faults.Load(),
-		BreakerOpens: opens,
+		Retries:      retries,
+		Faults:       faults,
+		BreakerOpens: st.BreakerOpens,
+		P999Ms:       st.P999Ms,
 	}
-	if st.SubOps > 0 {
-		st.P999Ms = a.p999est.Value()
-	}
-	return st
-}
-
-func (a *Aggregator) recordLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	a.estMu.Lock()
-	a.subOps++
-	a.p95est.Add(ms)
-	a.p999est.Add(ms)
-	// Cold-start guard + warm-phase cadence (see stats.HedgeEstimateDue):
-	// with fewer than five observations the P² "p95" is an interpolation
-	// over noise, so the hedge delay holds HedgeFloor instead of firing
-	// replicas at a garbage threshold.
-	if stats.HedgeEstimateDue(a.subOps) {
-		p := a.p95est.Value()
-		floor := float64(a.opts.HedgeFloor) / float64(time.Millisecond)
-		if p < floor {
-			p = floor
-		}
-		a.p95us.Store(uint64(p * 1000))
-	}
-	a.estMu.Unlock()
-}
-
-// recordFault counts one peer-level failure (dial, connection, or
-// timeout) into the peer's breaker and the fault counters, recording a
-// breaker-trip span when this failure is the one that opened it.
-func (a *Aggregator) recordFault(tr *obs.Trace, target int, subset int32) {
-	a.faults.Add(1)
-	if a.mFaults != nil {
-		a.mFaults.Inc()
-	}
-	if a.peers[target].br.Fail() {
-		tr.Add(obs.SpanBreakerTrip, subset, time.Now(), 0, int64(target))
-	}
-}
-
-// nextHealthy returns the first other component after from (wrapping)
-// whose breaker is closed, or from itself when no other peer is
-// healthy.
-func (a *Aggregator) nextHealthy(from int) int {
-	n := len(a.peers)
-	for k := 1; k < n; k++ {
-		i := (from + k) % n
-		if a.peers[i].healthy() {
-			return i
-		}
-	}
-	return from
 }
 
 // Call fans the request template out to every component and gathers
 // sub-results according to the gather policy. payload must be a
-// *wire.Request with the payload fields set; the aggregator stamps
-// per-sub-operation IDs, the subset, the absolute deadline from the
-// context, and the frontend-selected SLO class and ladder level (read
-// from the context via the frontend package's conventions). The
-// returned slice has one entry per subset in subset order; Value holds
-// the *wire.SubReply of answered sub-operations.
+// *wire.Request with the payload fields set; each sub-operation gets
+// its own ID, its subset, the absolute deadline from the context, and
+// the frontend-selected SLO class and ladder level (read from the
+// context via the frontend package's conventions). The returned slice
+// has one entry per subset in subset order; Value holds the
+// *wire.SubReply of answered sub-operations.
 //
 // Failure handling: sub-operations on a peer whose breaker is open
 // fail fast with ErrPeerDown; peer-level failures are re-dispatched to
@@ -468,303 +354,115 @@ func (a *Aggregator) Call(ctx context.Context, payload interface{}) ([]service.S
 	if !ok {
 		return nil, fmt.Errorf("netsvc: Call payload must be *wire.Request, got %T", payload)
 	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil, ErrClosed
-	}
-	route := a.route
-	a.mu.Unlock()
-	a.inflight.Add(1)
-	defer a.inflight.Add(-1)
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.Deadline)
-		defer cancel()
-	}
-	dl, _ := ctx.Deadline()
 	// The frontend's context values override the template's class and
 	// level; without a frontend the request's own fields stand, so a
 	// client-stamped SLO survives an aggregator that runs bare.
-	level := tmpl.Level
+	base := *tmpl
+	base.Seq = tmpl.ID // correlate sub-operations with their parent request
 	if lv, ok := frontend.LevelFrom(ctx); ok {
-		level = int16(lv)
+		base.Level = int16(lv)
 	}
-	slo, minAcc := tmpl.SLO, tmpl.MinAccuracy
 	if s, ok := frontend.SLOFrom(ctx); ok {
-		slo, minAcc = uint8(s.Kind), s.MinAccuracy
+		base.SLO, base.MinAccuracy = uint8(s.Kind), s.MinAccuracy
 	}
-	// The active trace (nil when untraced) is threaded to every dispatch
-	// so the CAS-winning delivery records its sub-operation span and
-	// stitches the server-side spans off the wire.
 	tr := obs.TraceFrom(ctx)
-	// The request's cost account (nil when attribution is off): the
-	// gather loop folds each sub-reply's span costs and frame bytes in,
-	// so the front server's closer sees the whole fan-out's usage.
+	base.Trace = tr.ID() // nil-safe: 0 propagates "untraced"
+	subs, err := a.core.Call(ctx, &base)
+	if err != nil {
+		return nil, err
+	}
+	// Stitch the answered sub-replies' server-side spans under their
+	// subsets, and fold their span costs and frame bytes into the
+	// request's cost account (nil when attribution is off), so the front
+	// server's closer sees the whole fan-out's usage.
 	acct := cost.AccountFrom(ctx)
-
-	n := len(a.peers)
-	reply := make(chan service.SubResult, 2*n)
-	dones := make([]*atomic.Bool, n)
-	targets := make([]int, n)
-	var timers []*time.Timer
-	for i := 0; i < n; i++ {
-		dones[i] = &atomic.Bool{}
-		sub := *tmpl
-		sub.ID = a.nextID.Add(1)
-		sub.Seq = tmpl.ID // correlate sub-operations with their parent request
-		sub.Subset = int32(i)
-		// The call deadline only ever tightens a deadline the request
-		// already carries (a client-side l_spe): each hop propagates the
-		// strictest absolute budget downward.
-		if sub.Deadline == 0 || dl.UnixNano() < sub.Deadline {
-			sub.Deadline = dl.UnixNano()
+	if tr == nil && acct == nil {
+		return subs, nil
+	}
+	for _, sr := range subs {
+		rep, ok := sr.Value.(*wire.SubReply)
+		if !ok {
+			continue
 		}
-		sub.Level = level
-		sub.SLO, sub.MinAccuracy = slo, minAcc
-		sub.Trace = tr.ID() // nil-safe: 0 propagates "untraced"
-		target := i
-		if route != nil {
-			if t := route(i, n, a.QueueDepth); t >= 0 && t < n {
-				target = t
+		for _, sp := range rep.Spans {
+			kind := obs.SpanServerQueue
+			if sp.Kind == wire.SpanExec {
+				kind = obs.SpanServerExec
+			}
+			tr.AddRemote(kind, int32(sr.Subset), sp.Start, sp.Dur)
+			if acct != nil {
+				acct.Add(cost.Usage{CPUNs: sp.Cost.CPUNs, Scanned: sp.Cost.Scanned, QueueNs: sp.Cost.QueueNs, WireBytes: sp.Cost.WireBytes})
 			}
 		}
-		// Health-aware routing: an open-breaker peer is evicted from the
-		// route set when any healthy peer exists (every component server
-		// holds all shards, so placement is a latency choice, not a
-		// correctness one).
-		if !a.peers[target].healthy() {
-			target = a.nextHealthy(target)
-		}
-		targets[i] = target
-		hedged := &atomic.Bool{}
-		a.dispatch(tr, target, &sub, dones[i], hedged, reply, true)
-		if a.opts.Policy == service.Hedged {
-			timers = append(timers, a.armHedge(tr, sub, target, dones[i], hedged, reply))
+		if acct != nil {
+			// The sub-reply frame's own bytes; the matching sub-request
+			// frame was counted by the component server (the exec span's
+			// WireBytes).
+			acct.AddWireBytes(uint64(rep.FrameLen))
 		}
 	}
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}()
-
-	out := make([]service.SubResult, n)
-	got := make([]bool, n)
-	remaining := n
-	var deadlineC <-chan time.Time
-	if a.opts.Policy == service.PartialGather {
-		t := time.NewTimer(time.Until(dl))
-		defer t.Stop()
-		deadlineC = t.C
-	}
-	for remaining > 0 {
-		select {
-		case r := <-reply:
-			if !got[r.Subset] {
-				got[r.Subset] = true
-				out[r.Subset] = r
-				remaining--
-				if acct != nil {
-					if rep, ok := r.Value.(*wire.SubReply); ok {
-						for _, sp := range rep.Spans {
-							acct.Add(cost.Usage{
-								CPUNs:     sp.Cost.CPUNs,
-								Scanned:   sp.Cost.Scanned,
-								QueueNs:   sp.Cost.QueueNs,
-								WireBytes: sp.Cost.WireBytes,
-							})
-						}
-						// The sub-reply frame's own bytes; the matching
-						// sub-request frame was counted by the component
-						// server (the exec span's WireBytes).
-						acct.AddWireBytes(uint64(rep.FrameLen))
-					}
-				}
-			}
-		case <-deadlineC:
-			// Partial execution: compose without the stragglers. Their
-			// servers keep working unless the propagated deadline stops
-			// them first; late replies are dropped via the done flags.
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = service.SubResult{Subset: i, Skipped: true}
-					remaining--
-					// A sub-operation that never answered within the budget
-					// is failure evidence against its target: consecutive
-					// timeouts trip the breaker (a stalled or partitioned
-					// peer produces nothing else).
-					a.recordFault(tr, targets[i], int32(i))
-				}
-			}
-		case <-ctx.Done():
-			expired := errors.Is(ctx.Err(), context.DeadlineExceeded)
-			for i := range got {
-				if !got[i] {
-					dones[i].Store(true)
-					out[i] = service.SubResult{Subset: i, Err: ctx.Err(), Skipped: true}
-					remaining--
-					// Deadline expiry indicts the peer; caller cancellation
-					// does not.
-					if expired {
-						a.recordFault(tr, targets[i], int32(i))
-					}
-				}
-			}
-		}
-	}
-	return out, nil
+	return subs, nil
 }
 
-// dispatch sends one sub-operation to a component. primary outcomes
-// are always delivered (first-wins); hedge outcomes are delivered only
-// when the replica actually answered OK, so a failed or shed replica
-// can never displace the primary's pending reply.
-func (a *Aggregator) dispatch(tr *obs.Trace, target int, sub *wire.Request, done, hedged *atomic.Bool, reply chan<- service.SubResult, primary bool) {
-	a.dispatchAttempt(tr, target, sub, done, hedged, reply, primary, 0)
-}
-
-// dispatchAttempt is one placement of a sub-operation; peer-level
-// failures recurse onto a healthy peer while the retry budget and the
-// propagated deadline allow.
-func (a *Aggregator) dispatchAttempt(tr *obs.Trace, target int, sub *wire.Request, done, hedged *atomic.Bool, reply chan<- service.SubResult, primary bool, attempt int) {
-	p := a.peers[target]
-	subset := int(sub.Subset)
-	// deliverErr resolves this attempt with an error. retryable marks
-	// peer-level failures (dial, connection, open breaker) that another
-	// peer could still answer; shed and server-reported errors are not.
-	deliverErr := func(err error, skipped, retryable bool) {
-		if !primary {
-			return
-		}
-		if retryable && attempt < a.opts.RetryBudget && !done.Load() &&
-			(sub.Deadline == 0 || time.Now().UnixNano() < sub.Deadline) {
-			next := target
-			if !p.healthy() {
-				next = a.nextHealthy(target)
-			}
-			if next != target || p.healthy() {
-				a.retries.Add(1)
-				if a.mRetries != nil {
-					a.mRetries.Inc()
-				}
-				tr.Add(obs.SpanRetry, sub.Subset, time.Now(), 0, int64(next))
-				clone := *sub
-				clone.ID = a.nextID.Add(1)
-				a.dispatchAttempt(tr, next, &clone, done, hedged, reply, primary, attempt+1)
-				return
-			}
-		}
-		if done.CompareAndSwap(false, true) {
-			reply <- service.SubResult{Subset: subset, Err: err, Skipped: skipped, Hedged: hedged.Load()}
-		}
-	}
-	if !p.healthy() {
-		// Fail fast instead of waiting out a timeout against a peer the
-		// breaker already condemned. Recovery is the reconnector's job,
-		// so known-unhealthy peers cost nothing per request.
-		deliverErr(ErrPeerDown, false, true)
-		return
-	}
-	if p.outstanding.Add(1) > int64(a.opts.MaxOutstanding) {
-		p.outstanding.Add(-1)
-		deliverErr(ErrQueueFull, false, false)
-		return
-	}
-	start := time.Now()
-	p.send(sub, func(rep *wire.SubReply, err error) {
-		p.outstanding.Add(-1)
-		if err != nil {
-			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerDown) {
-				a.recordFault(tr, target, sub.Subset)
-			}
-			deliverErr(err, false, true)
-			return
-		}
-		// Any decoded reply — OK, skipped, or busy — is proof of life.
-		p.br.Success()
-		lat := time.Since(start)
-		a.recordLatency(lat)
-		switch rep.Status {
-		case wire.StatusOK:
-			if done.CompareAndSwap(false, true) {
-				if tr != nil {
-					// Only the winning delivery records: one SpanSubOp per
-					// subset, even when a hedge raced the primary. The
-					// server-side queue/exec spans that travelled back in
-					// the sub-reply are stitched under the same subset.
-					tr.Add(obs.SpanSubOp, int32(subset), start, lat, int64(target))
-					for _, sp := range rep.Spans {
-						kind := obs.SpanServerQueue
-						if sp.Kind == wire.SpanExec {
-							kind = obs.SpanServerExec
-						}
-						tr.AddRemote(kind, int32(subset), sp.Start, sp.Dur)
-					}
-				}
-				reply <- service.SubResult{Subset: subset, Value: rep, Latency: lat, Hedged: hedged.Load()}
-			}
-		case wire.StatusSkipped:
-			// A skipped reply means the propagated budget is gone: any
-			// later reply would be past-deadline too, so a replica's
-			// skip resolves the subset just like a primary's.
-			if done.CompareAndSwap(false, true) {
-				reply <- service.SubResult{Subset: subset, Skipped: true, Latency: lat, Hedged: hedged.Load()}
-			}
-		case wire.StatusBusy:
-			// A server-side shed is the same condition as the
-			// aggregator-side outstanding window: report the sentinel so
-			// composed replies classify it StatusBusy, not a generic
-			// error.
-			deliverErr(ErrQueueFull, false, false)
-		default:
-			deliverErr(fmt.Errorf("netsvc: component %d: %s", target, rep.Err), false, false)
-		}
-	})
-}
-
-// armHedge schedules the reissue check for one sub-operation.
-func (a *Aggregator) armHedge(tr *obs.Trace, sub wire.Request, target int, done, hedged *atomic.Bool, reply chan<- service.SubResult) *time.Timer {
-	return time.AfterFunc(a.EstimatedP95(), func() {
-		if done.Load() {
-			return
-		}
-		rc := a.opts.ReplicaOf(int(sub.Subset), len(a.peers))
-		if !a.peers[rc].healthy() {
-			// Hedging into an open breaker buys nothing; place the
-			// replica on the next healthy peer instead.
-			rc = a.nextHealthy(rc)
-		}
-		if rc == target {
-			// A replica behind the very sub-operation it hedges would
-			// queue after it — skip, as in the in-process runtime.
-			return
-		}
-		// Mark before sending so the replica's own reply (which may win
-		// immediately) already observes the flag.
-		hedged.Store(true)
-		clone := sub
-		clone.ID = a.nextID.Add(1)
-		a.hedges.Add(1)
-		tr.Add(obs.SpanHedge, sub.Subset, time.Now(), 0, int64(rc))
-		a.dispatch(tr, rc, &clone, done, hedged, reply, false)
-	})
-}
-
-// Close tears down every connection; Call returns ErrClosed afterwards
-// and outstanding sub-operations fail over to their gather policy's
-// error path.
+// Close waits for in-flight Calls, then tears down every connection;
+// Call returns ErrClosed afterwards.
 func (a *Aggregator) Close() {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
-	a.closed = true
-	a.mu.Unlock()
+	a.core.Close()
 	for _, p := range a.peers {
 		p.close()
+	}
+}
+
+// sockets is the Aggregator's transport: an attempt is one request frame
+// on a pooled connection to the component's server.
+type sockets struct{ *Aggregator }
+
+func (s sockets) Run(at service.Attempt) {
+	p := s.peers[at.Comp]
+	if p.outstanding.Add(1) > int64(s.opts.MaxOutstanding) {
+		p.outstanding.Add(-1)
+		at.Report(service.Outcome{Err: ErrQueueFull})
+		return
+	}
+	sub := *at.Payload().(*wire.Request)
+	sub.ID = s.nextID.Add(1)
+	sub.Subset = int32(at.Subset)
+	// The call deadline only ever tightens a deadline the request
+	// already carries (a client-side l_spe): each hop propagates the
+	// strictest absolute budget downward.
+	if dl, ok := at.Context().Deadline(); ok && (sub.Deadline == 0 || dl.UnixNano() < sub.Deadline) {
+		sub.Deadline = dl.UnixNano()
+	}
+	p.send(&sub, func(rep *wire.SubReply, err error) {
+		p.outstanding.Add(-1)
+		at.Report(outcomeOf(rep, err, at.Comp))
+	})
+}
+
+// outcomeOf classifies one sub-operation delivery. Any decoded reply —
+// OK, skipped, busy or error — proves the peer alive. A transport
+// failure is a fault another peer could still answer, unless the
+// request never left (closed aggregator, or a dial inside its backoff
+// window).
+func outcomeOf(rep *wire.SubReply, err error, comp int) service.Outcome {
+	if err != nil {
+		return service.Outcome{Err: err, Retry: true, Fault: !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerDown)}
+	}
+	switch rep.Status {
+	case wire.StatusOK:
+		return service.Outcome{Value: rep, Replied: true}
+	case wire.StatusSkipped:
+		// The propagated budget is gone: any later reply would be past
+		// the deadline too, so a replica's skip resolves the subset just
+		// like a primary's.
+		return service.Outcome{Skipped: true, Replied: true}
+	case wire.StatusBusy:
+		// A server-side shed is the same condition as the outstanding
+		// window: report the sentinel so composed replies classify it
+		// StatusBusy, not a generic error.
+		return service.Outcome{Err: ErrQueueFull, Replied: true}
+	default:
+		return service.Outcome{Err: fmt.Errorf("netsvc: component %d: %s", comp, rep.Err), Replied: true}
 	}
 }
 
@@ -778,7 +476,6 @@ type peer struct {
 	outstanding atomic.Int64
 	reconnects  atomic.Int64
 
-	br           *breaker.Breaker
 	backoff      *breaker.Backoff
 	reconnecting atomic.Bool
 	closeCh      chan struct{}
@@ -790,8 +487,11 @@ type peer struct {
 	closed     bool
 }
 
+// br returns the peer's circuit breaker, held by the gather core.
+func (p *peer) br() *breaker.Breaker { return p.agg.core.Breaker(p.idx) }
+
 // healthy reports whether the peer's breaker admits normal traffic.
-func (p *peer) healthy() bool { return p.br.State() == breaker.Closed }
+func (p *peer) healthy() bool { return p.br().State() == breaker.Closed }
 
 func (p *peer) isClosed() bool {
 	p.mu.Lock()
@@ -852,10 +552,9 @@ func (p *peer) conn() (*peerConn, error) {
 // and must start the read loop after unlocking.
 func (p *peer) newConn(c net.Conn) *peerConn {
 	return &peerConn{
-		c:         c,
-		pending:   map[uint64]func(*wire.SubReply, error){},
-		pendingIn: map[uint64]func(*wire.IngestReply, error){},
-		onDead:    p.kickReconnector,
+		c:       c,
+		pending: map[uint64]pending{},
+		onDead:  p.kickReconnector,
 	}
 }
 
@@ -899,22 +598,18 @@ func (p *peer) reconnectLoop() {
 		if p.isClosed() {
 			return
 		}
-		if p.br.State() != breaker.Closed && !p.br.Allow() {
+		if !p.healthy() && !p.br().Allow() {
 			// Still inside the cooldown; the backoff sleep above keeps
 			// the loop from spinning.
 			continue
 		}
 		c, err := p.agg.opts.Dial(p.addr, p.agg.opts.DialTimeout)
 		if err != nil {
-			p.br.Fail()
-			p.agg.faults.Add(1)
-			if p.agg.mFaults != nil {
-				p.agg.mFaults.Inc()
-			}
+			p.agg.core.Fault(p.idx)
 			continue
 		}
 		p.install(c)
-		p.br.Success()
+		p.br().Success()
 		p.backoff.Reset()
 		return
 	}
@@ -946,55 +641,28 @@ func (p *peer) install(c net.Conn) {
 // send transmits one sub-operation and registers its delivery callback
 // (invoked exactly once: reply, connection failure, or close).
 func (p *peer) send(sub *wire.Request, deliver func(*wire.SubReply, error)) {
-	pc, err := p.conn()
-	if err != nil {
-		deliver(nil, err)
-		return
-	}
-	if !pc.register(sub.ID, deliver) {
-		// The connection died between pooling and registration; one
-		// retry against a fresh slot, then give up.
-		pc, err = p.conn()
-		if err != nil {
-			deliver(nil, err)
-			return
-		}
-		if !pc.register(sub.ID, deliver) {
-			deliver(nil, errors.New("netsvc: connection lost"))
-			return
-		}
-	}
-	frame := wire.AppendRequestFrame(nil, sub)
-	pc.wmu.Lock()
-	_, werr := pc.c.Write(frame)
-	pc.wmu.Unlock()
-	if werr != nil {
-		pc.fail(werr)
-	}
+	p.transmit(sub.ID, pending{sub: deliver}, wire.AppendRequestFrame(nil, sub))
 }
 
-// sendIngest transmits one append batch on a pooled connection and
-// registers its acknowledgement callback (invoked exactly once: reply,
-// connection failure, or close). It mirrors send, on the ingest half
-// of the multiplexed connection.
+// sendIngest is send for one append batch, on the ingest half of the
+// multiplexed connection.
 func (p *peer) sendIngest(sub *wire.IngestRequest, deliver func(*wire.IngestReply, error)) {
+	p.transmit(sub.ID, pending{ingest: deliver}, wire.AppendIngestRequestFrame(nil, sub))
+}
+
+func (p *peer) transmit(id uint64, cb pending, frame []byte) {
 	pc, err := p.conn()
+	if err == nil && !pc.register(id, cb) {
+		// The connection died between pooling and registration; one
+		// retry against a fresh slot, then give up.
+		if pc, err = p.conn(); err == nil && !pc.register(id, cb) {
+			err = errors.New("netsvc: connection lost")
+		}
+	}
 	if err != nil {
-		deliver(nil, err)
+		cb.fail(err)
 		return
 	}
-	if !pc.registerIngest(sub.ID, deliver) {
-		pc, err = p.conn()
-		if err != nil {
-			deliver(nil, err)
-			return
-		}
-		if !pc.registerIngest(sub.ID, deliver) {
-			deliver(nil, errors.New("netsvc: connection lost"))
-			return
-		}
-	}
-	frame := wire.AppendIngestRequestFrame(nil, sub)
 	pc.wmu.Lock()
 	_, werr := pc.c.Write(frame)
 	pc.wmu.Unlock()
@@ -1027,10 +695,24 @@ type peerConn struct {
 	onDead func() // kicks the owning peer's reconnector
 	wmu    sync.Mutex
 
-	pmu       sync.Mutex
-	pending   map[uint64]func(*wire.SubReply, error)
-	pendingIn map[uint64]func(*wire.IngestReply, error)
-	dead      bool
+	pmu     sync.Mutex
+	pending map[uint64]pending
+	dead    bool
+}
+
+// pending is one registered delivery callback: a query sub-reply's or
+// an ingest acknowledgement's (IDs are unique across both).
+type pending struct {
+	sub    func(*wire.SubReply, error)
+	ingest func(*wire.IngestReply, error)
+}
+
+func (cb pending) fail(err error) {
+	if cb.sub != nil {
+		cb.sub(nil, err)
+	} else if cb.ingest != nil {
+		cb.ingest(nil, err)
+	}
 }
 
 func (pc *peerConn) isDead() bool {
@@ -1039,24 +721,23 @@ func (pc *peerConn) isDead() bool {
 	return pc.dead
 }
 
-func (pc *peerConn) register(id uint64, deliver func(*wire.SubReply, error)) bool {
+func (pc *peerConn) register(id uint64, cb pending) bool {
 	pc.pmu.Lock()
 	defer pc.pmu.Unlock()
 	if pc.dead {
 		return false
 	}
-	pc.pending[id] = deliver
+	pc.pending[id] = cb
 	return true
 }
 
-func (pc *peerConn) registerIngest(id uint64, deliver func(*wire.IngestReply, error)) bool {
+// take removes and returns the callback registered under id.
+func (pc *peerConn) take(id uint64) pending {
 	pc.pmu.Lock()
 	defer pc.pmu.Unlock()
-	if pc.dead {
-		return false
-	}
-	pc.pendingIn[id] = deliver
-	return true
+	cb := pc.pending[id]
+	delete(pc.pending, id)
+	return cb
 }
 
 // readLoop dispatches reply frames to their pending callbacks until
@@ -1084,12 +765,8 @@ func (pc *peerConn) readLoop(maxFrame int) {
 				pc.fail(err)
 				return
 			}
-			pc.pmu.Lock()
-			deliver := pc.pendingIn[ack.ID]
-			delete(pc.pendingIn, ack.ID)
-			pc.pmu.Unlock()
-			if deliver != nil {
-				deliver(ack, nil)
+			if cb := pc.take(ack.ID); cb.ingest != nil {
+				cb.ingest(ack, nil)
 			}
 			continue
 		}
@@ -1098,17 +775,13 @@ func (pc *peerConn) readLoop(maxFrame int) {
 			pc.fail(err)
 			return
 		}
-		pc.pmu.Lock()
-		deliver := pc.pending[rep.ID]
-		delete(pc.pending, rep.ID)
-		pc.pmu.Unlock()
-		if deliver != nil {
-			deliver(rep, nil)
+		if cb := pc.take(rep.ID); cb.sub != nil {
+			cb.sub(rep, nil)
 		}
 	}
 }
 
-// fail marks the connection dead and fails every pending sub-operation
+// fail marks the connection dead and fails every pending request
 // exactly once.
 func (pc *peerConn) fail(err error) {
 	pc.pmu.Lock()
@@ -1118,18 +791,13 @@ func (pc *peerConn) fail(err error) {
 	}
 	pc.dead = true
 	pending := pc.pending
-	pendingIn := pc.pendingIn
 	pc.pending = nil
-	pc.pendingIn = nil
 	pc.pmu.Unlock()
 	pc.c.Close()
 	if pc.onDead != nil && !errors.Is(err, ErrClosed) {
 		pc.onDead()
 	}
-	for _, deliver := range pending {
-		deliver(nil, fmt.Errorf("netsvc: connection failed: %w", err))
-	}
-	for _, deliver := range pendingIn {
-		deliver(nil, fmt.Errorf("netsvc: connection failed: %w", err))
+	for _, cb := range pending {
+		cb.fail(fmt.Errorf("netsvc: connection failed: %w", err))
 	}
 }

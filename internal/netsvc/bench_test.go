@@ -64,13 +64,12 @@ func BenchmarkServeUntraced(b *testing.B) { benchServe(b, nil, nil) }
 
 func BenchmarkServeTraced(b *testing.B) { benchServe(b, obs.NewRecorder(256, 64), nil) }
 
-// BenchmarkServeUncosted/Costed bound the end-to-end overhead of cost
-// attribution (account on the context, span-cost folds in the gather
-// loop, table record per request — tracing included, since cost rides
-// traced spans). CI compares the pair with `benchjson
+// BenchmarkServeCosted bounds the end-to-end overhead of cost
+// attribution (account on the context, span-cost folds after the
+// gather, table record per request) against BenchmarkServeTraced, its
+// cost-off twin — tracing included on both sides, since cost rides
+// traced spans. CI compares the pair with `benchjson
 // -assert-max-regress`.
-func BenchmarkServeUncosted(b *testing.B) { benchServe(b, obs.NewRecorder(256, 64), nil) }
-
 func BenchmarkServeCosted(b *testing.B) {
 	benchServe(b, obs.NewRecorder(256, 64), cost.NewTable())
 }

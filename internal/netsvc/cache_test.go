@@ -23,36 +23,52 @@ import (
 // stay at the configured floor instead of a garbage threshold — and
 // must track the real tail once warm.
 func TestHedgeTriggerColdStartGuard(t *testing.T) {
-	floor := 2 * time.Millisecond
-	a, err := NewAggregator([]string{"127.0.0.1:1"}, AggregatorOptions{HedgeFloor: floor})
-	if err != nil {
-		t.Fatal(err)
+	const floor = 2 * time.Millisecond
+	reply := &wire.SubReply{Status: wire.StatusOK, Level: wire.NoLevel,
+		Agg: &wire.AggResult{Sum: []float64{1}, Cnt: []float64{1}, SumVar: []float64{0}, CntVar: []float64{0}}}
+	aggregator := func(t *testing.T, floor, handlerDelay time.Duration) *Aggregator {
+		t.Helper()
+		_, addr := startServer(t, func(context.Context, *wire.Request) *wire.SubReply {
+			time.Sleep(handlerDelay)
+			return reply
+		}, ServerOptions{})
+		a, err := NewAggregator([]string{addr}, AggregatorOptions{
+			Policy: service.WaitAll, Deadline: 5 * time.Second, HedgeFloor: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		return a
 	}
-	defer a.Close()
-	// Four fat samples: still cold, the trigger must hold the floor.
+	call := func(t *testing.T, a *Aggregator) {
+		t.Helper()
+		subs, err := a.Call(context.Background(), aggReq(agg.Sum, 0, 1))
+		if err != nil || subs[0].Err != nil || subs[0].Skipped {
+			t.Fatalf("call: err=%v sub=%+v", err, subs)
+		}
+	}
+
+	a := aggregator(t, floor, 100*time.Millisecond)
+	// Four slow sub-operations: still cold, the trigger must hold the floor.
 	for i := 0; i < stats.HedgeWarmObservations-1; i++ {
-		a.recordLatency(300 * time.Millisecond)
+		call(t, a)
 	}
 	if got := a.EstimatedP95(); got != floor {
 		t.Fatalf("cold-start hedge delay = %v, want the %v floor", got, floor)
 	}
 	// The fifth observation completes the marker set: the trigger may
-	// now move, and with five identical 300ms samples it must.
-	a.recordLatency(300 * time.Millisecond)
-	if got := a.EstimatedP95(); got < 100*time.Millisecond {
-		t.Fatalf("warm hedge delay = %v, not tracking the %v samples", got, 300*time.Millisecond)
+	// now move, and with five ~100ms samples it must.
+	call(t, a)
+	if got := a.EstimatedP95(); got < 50*time.Millisecond {
+		t.Fatalf("warm hedge delay = %v, not tracking the %v samples", got, 100*time.Millisecond)
 	}
 	// The floor still clamps from below once warm.
-	b, err := NewAggregator([]string{"127.0.0.1:1"}, AggregatorOptions{HedgeFloor: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := aggregator(t, time.Second, 0)
 	for i := 0; i < 16; i++ {
-		b.recordLatency(10 * time.Microsecond)
+		call(t, b)
 	}
-	if got := b.EstimatedP95(); got != floor {
-		t.Fatalf("warm sub-floor estimate = %v, want clamped to %v", got, floor)
+	if got := b.EstimatedP95(); got != time.Second {
+		t.Fatalf("warm sub-floor estimate = %v, want clamped to %v", got, time.Second)
 	}
 }
 

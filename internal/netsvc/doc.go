@@ -1,7 +1,8 @@
 // Package netsvc is the networked serving layer: the paper's
 // deployment model — an aggregator fanning each request out to many
 // component sub-services — realized over real TCP sockets instead of
-// in-process goroutine mailboxes (internal/service).
+// in-process goroutine mailboxes. The gather logic is service.Fanout's;
+// this package supplies the socket transport under it.
 //
 // The pieces, bottom up:
 //
@@ -11,11 +12,11 @@
 //     already passed is answered Skipped without touching the handler,
 //     and handlers run under a context carrying the remaining budget
 //     so Algorithm 1 abandons improvement the moment it is exhausted.
-//   - Aggregator: the scatter/gather client — pooled persistent
-//     connections per component with transparent reconnect, and the
-//     same gather policies as the in-process runtime (service.WaitAll,
-//     service.PartialGather, service.Hedged) executed over sockets,
-//     including the P²-estimated p95 hedge trigger. It implements
+//   - Aggregator: the scatter/gather client — service.Fanout over a
+//     socket transport: pooled persistent connections per component,
+//     multiplexed by request ID, with dial backoff and a background
+//     reconnect/probe loop per peer, the wire codec, and stitching of
+//     the server-side spans that return in sub-replies. It implements
 //     frontend.Backend, so the accuracy-aware frontend's admission,
 //     replica routing, and degradation policies drive it unchanged.
 //   - FrontServer: an aggregator process's client-facing listener: it

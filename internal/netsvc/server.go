@@ -626,7 +626,6 @@ func (s *FrontServer) serve(ctx context.Context, req *wire.Request, enq time.Tim
 		}
 	}
 	rep, acc := s.answer(ctx, req)
-	rep.Trace = tr.ID() // nil-safe: 0 when untraced
 	switch rep.Status {
 	case wire.ReplyDegraded:
 		tr.MarkAnomaly(obs.AnomalyDegraded)
@@ -634,7 +633,9 @@ func (s *FrontServer) serve(ctx context.Context, req *wire.Request, enq time.Tim
 		tr.MarkAnomaly(obs.AnomalyUnavailable)
 	}
 	dur := time.Since(start)
-	tr.Finish(dur) // pins anomalous traces (incl. deadline misses) as exemplars
+	// Finish pins anomalous traces (incl. deadline misses) as exemplars;
+	// nil-safe: the ID is 0 when untraced.
+	rep.Trace = tr.Finish(dur)
 	s.recordSLO(req, rep, start, dur)
 	s.maybeAudit(req, rep, acc, epoch)
 	if acct == nil {

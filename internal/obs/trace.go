@@ -409,7 +409,8 @@ func (tr *Trace) reset(id uint64, start time.Time, seq uint64) {
 	tr.spans = tr.spans[:0]
 }
 
-// ID returns the trace's 64-bit identity (0 for a nil trace).
+// ID returns the trace's 64-bit identity (0 for a nil trace). Valid
+// until Finish, which returns the ID for use after it.
 func (tr *Trace) ID() uint64 {
 	if tr == nil {
 		return 0
@@ -524,15 +525,20 @@ func (tr *Trace) Anomaly() AnomalyReason {
 	return tr.anomaly
 }
 
-// Finish completes the trace with the request's total duration. A
-// finish past the request's stamped deadline marks a deadline miss, and
-// any anomalous trace is pinned into the recorder's exemplar store so
-// it survives ring rotation. Healthy finishes stay allocation-free.
-func (tr *Trace) Finish(dur time.Duration) {
+// Finish completes the trace with the request's total duration and
+// returns its ID (0 for a nil trace). A finish past the request's
+// stamped deadline marks a deadline miss, and any anomalous trace is
+// pinned into the recorder's exemplar store so it survives ring
+// rotation. Healthy finishes stay allocation-free. Finish ends the
+// handle's life: the recorder recycles its slot for a later request, so
+// a caller needing the ID afterwards keeps the returned value instead
+// of calling ID.
+func (tr *Trace) Finish(dur time.Duration) uint64 {
 	if tr == nil {
-		return
+		return 0
 	}
 	tr.mu.Lock()
+	id := tr.id
 	tr.dur = dur
 	tr.done = true
 	if tr.deadline != 0 && tr.start.UnixNano()+int64(dur) > tr.deadline {
@@ -547,6 +553,7 @@ func (tr *Trace) Finish(dur time.Duration) {
 	if pinIt {
 		tr.rec.ex.pin(pin)
 	}
+	return id
 }
 
 // View snapshots the trace. Caller holds tr.mu.

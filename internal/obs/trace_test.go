@@ -422,8 +422,7 @@ func TestExemplarPinRace(t *testing.T) {
 				if i%2 == 0 {
 					tr.MarkAnomaly(AnomalyDegraded)
 				}
-				tr.Finish(time.Microsecond)
-				rec.Pin(tr.ID(), AnomalyAuditMismatch)
+				rec.Pin(tr.Finish(time.Microsecond), AnomalyAuditMismatch)
 			}
 		}()
 	}

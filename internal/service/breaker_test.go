@@ -10,73 +10,6 @@ import (
 	"accuracytrader/internal/breaker"
 )
 
-// TestClusterBreakerEvictsAndRecovers models a dead machine: every
-// sub-operation executed on component 0 fails while it is "down". The
-// breaker must trip, routing must evict component 0 (the subset's
-// handler runs on a healthy worker), and after heal a half-open probe
-// must re-close the breaker.
-func TestClusterBreakerEvictsAndRecovers(t *testing.T) {
-	var down atomic.Bool
-	down.Store(true)
-	mk := func(subset int) Handler {
-		return func(ctx context.Context, payload interface{}) (interface{}, error) {
-			if comp, _ := ComponentFrom(ctx); comp == 0 && down.Load() {
-				return nil, errors.New("machine 0 down")
-			}
-			return subset, nil
-		}
-	}
-	cl, err := New([]Handler{mk(0), mk(1), mk(2)}, WaitAll, Options{
-		Deadline: time.Second,
-		Breaker:  breaker.Config{FailThreshold: 2, Cooldown: 30 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Drive calls until subset 0 is answered cleanly via rerouting.
-	deadline := time.Now().Add(5 * time.Second)
-	rerouted := false
-	for time.Now().Before(deadline) && !rerouted {
-		subs, err := cl.Call(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rerouted = subs[0].Err == nil && !subs[0].Skipped && subs[0].Value == 0
-	}
-	if !rerouted {
-		t.Fatal("subset 0 never answered via a healthy component")
-	}
-	if st := cl.BreakerState(0); st == breaker.Closed {
-		t.Fatalf("component 0 breaker still closed after consecutive failures")
-	}
-	open := cl.OpenBreakers()
-	if len(open) != 1 || open[0] != 0 {
-		t.Fatalf("OpenBreakers() = %v, want [0]", open)
-	}
-	if cl.Stats().BreakerOpens == 0 {
-		t.Fatal("BreakerOpens counter must move")
-	}
-
-	// Heal the machine: a cooled-down breaker admits one probe request,
-	// whose success re-closes it.
-	down.Store(false)
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && cl.BreakerState(0) != breaker.Closed {
-		if _, err := cl.Call(context.Background(), nil); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := cl.BreakerState(0); st != breaker.Closed {
-		t.Fatalf("breaker did not re-close after heal: %v", st)
-	}
-	if got := cl.OpenBreakers(); got != nil {
-		t.Fatalf("OpenBreakers() after heal = %v, want none", got)
-	}
-}
-
 // TestClusterBreakerFailsFastWhenNoHealthyAlternative pins the
 // fail-fast contract on a single-component cluster: once tripped and
 // inside the cooldown, Call reports ErrComponentDown without running

@@ -1,8 +1,18 @@
-// Package service is the live (wall-clock) runtime of the AccuracyTrader
-// reproduction: the same fan-out topology the simulator models — a
-// frontend partitioning each request across n parallel components, each a
-// single-server FIFO worker goroutine, and a composer gathering
-// sub-results — running on real goroutines with context deadlines.
+// Package service holds the fan-out core of the AccuracyTrader
+// reproduction and its in-process runtime: the topology the simulator
+// models — a frontend partitioning each request across n parallel
+// components and a composer gathering sub-results — running on real
+// goroutines with context deadlines.
+//
+// Fanout is the one gather core. It places each sub-operation (with
+// open-breaker eviction and half-open probes), keeps a circuit breaker
+// per component, runs the gather policy, drives the P² hedge trigger,
+// re-dispatches retryable failures within a budget, and keeps the
+// counters. A Transport moves sub-operations to components and reports
+// one Outcome per attempt; the outcome says what the transport's
+// failure domain makes of it (breaker evidence, retryable or not).
+// Cluster is Fanout over mailbox workers, one single-server FIFO
+// goroutine per component; netsvc.Aggregator is Fanout over sockets.
 //
 // The gather policies mirror the compared techniques:
 //
@@ -10,7 +20,7 @@
 //   - PartialGather — partial execution: return whatever arrived by the
 //     deadline and skip the rest.
 //   - Hedged — request reissue: when a sub-operation has been outstanding
-//     longer than the estimated p95 sub-operation latency, enqueue a
+//     longer than the estimated p95 sub-operation latency, issue a
 //     replica of it on another component and use the quicker reply.
 //
 // AccuracyTrader itself needs no special gather policy: components finish

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
-
-	"accuracytrader/internal/stats"
 )
 
 func TestCompleteAndSnapshot(t *testing.T) {
@@ -35,27 +32,5 @@ func TestCompleteAndSnapshot(t *testing.T) {
 		if sr.Latency != 0 || sr.Hedged || sr.Subset != i {
 			t.Fatalf("snapshot[%d] keeps execution facts: %+v", i, sr)
 		}
-	}
-}
-
-func TestClusterHedgeTriggerColdStartGuard(t *testing.T) {
-	floor := 3 * time.Millisecond
-	cl, err := New([]Handler{func(ctx context.Context, p interface{}) (interface{}, error) { return nil, nil }},
-		Hedged, Options{HedgeFloor: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Fewer than five observations: the trigger holds the floor.
-	for i := 0; i < stats.HedgeWarmObservations-1; i++ {
-		cl.recordLatency(250 * time.Millisecond)
-	}
-	if got := cl.EstimatedP95(); got != floor {
-		t.Fatalf("cold-start hedge delay = %v, want the %v floor", got, floor)
-	}
-	// Warm: the estimate tracks the samples immediately.
-	cl.recordLatency(250 * time.Millisecond)
-	if got := cl.EstimatedP95(); got < 100*time.Millisecond {
-		t.Fatalf("warm hedge delay = %v, not tracking 250ms samples", got)
 	}
 }

