@@ -35,7 +35,9 @@
 //     ranks the most uncertain strata first.
 //   - ProcessSet replaces a stratum's estimate with an exact scan of
 //     its rows (zero variance), the counterpart of cf/textindex
-//     re-processing a group's original members.
+//     re-processing a group's original members. Because the sample is
+//     a prefix of the stratum's rows, the scan resumes after it, from
+//     the selected sum and count the synopsis pass already built.
 //
 // Accuracy of an approximate answer is 1 − mean relative error against
 // the exact answer (Accuracy), the metric reported by the `aggcompare`

@@ -35,8 +35,27 @@ type Query struct {
 	Lo, Hi float64
 }
 
-// selects reports whether the query's filter keeps a row value.
-func (q Query) selects(v float64) bool { return q.Lo <= v && v < q.Hi }
+// Select is the query's row filter in branch-free form: it returns
+// (v, 1) when the window [Lo, Hi) keeps v and (+0.0, 0) when it does
+// not; NaN is never kept. Every scan over rows — the engine's kernels
+// and the live delta fold — accumulates both results unconditionally.
+// That is bit-identical to adding only the kept rows, because such a
+// sum starts at +0.0 and so never holds −0.0 (round-to-nearest yields
+// −0.0 only for (−0.0)+(−0.0)), and x + (+0.0) == x for every other x.
+func (q Query) Select(v float64) (float64, int) {
+	keep := b2u(q.Lo <= v) & b2u(v < q.Hi)
+	return math.Float64frombits(math.Float64bits(v) & -keep), int(keep)
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a
+// flag-setting instruction, so a comparison costs no branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
 
 // zCI is the 95% normal quantile used for the CLT confidence bounds.
 const zCI = 1.96
@@ -168,14 +187,22 @@ func (r Result) BoundsInto(dst []float64, op Op) []float64 {
 // from its ladder-level sample and returns the per-stratum error
 // contributions as correlations; ProcessSet replaces one stratum's
 // estimate with an exact scan of its rows.
+//
+// A stratum's sample is the prefix of its rows in stored order, so the
+// exact scan resumes where the sample scan stopped: preSum and preCnt
+// hold the selected sum and count over each stratum's sampled prefix,
+// valid once sampled is set.
 type Engine struct {
 	Comp  *Component
 	Q     Query
 	Level int // ladder level served (coarse 0 … Levels-1)
 
-	res  Result
-	corr []float64
-	done []bool
+	res     Result
+	corr    []float64
+	done    []bool
+	preSum  []float64
+	preCnt  []int
+	sampled bool
 }
 
 // NewEngine prepares an engine for a query at a ladder level.
@@ -196,11 +223,16 @@ func (e *Engine) Reset(c *Component, q Query, level int) {
 	if cap(e.corr) < n {
 		e.corr = make([]float64, n)
 		e.done = make([]bool, n)
+		e.preSum = make([]float64, n)
+		e.preCnt = make([]int, n)
 	} else {
 		e.corr = e.corr[:n]
 		e.done = e.done[:n]
+		e.preSum = e.preSum[:n]
+		e.preCnt = e.preCnt[:n]
 		clear(e.done)
 	}
+	e.sampled = false
 }
 
 // enginePool recycles Engines across requests (see GetEngine).
@@ -231,38 +263,44 @@ func (e *Engine) Release() {
 func (e *Engine) ProcessSynopsis() []float64 {
 	syn := e.Comp.Syn
 	for g := 0; g < syn.NumStrata(); g++ {
+		sample := syn.sample(e.Level, g)
+		sy, syy, sb := sampleMoments(e.Comp.T.vals, e.Q, sample)
+		e.preSum[g], e.preCnt[g] = sy, sb
 		N := float64(syn.StratumSize(g))
 		if N == 0 {
 			e.corr[g] = 0
 			continue
 		}
-		sum, cnt, sumVar, cntVar := stratumEstimate(e.Comp.T, e.Q, syn.sample(e.Level, g), N)
+		sum, cnt, sumVar, cntVar := stratumEstimate(sy, syy, float64(sb), float64(len(sample)), N)
 		e.res.Sum[g] = sum
 		e.res.Cnt[g] = cnt
 		e.res.SumVar[g] = sumVar
 		e.res.CntVar[g] = cntVar
 		e.corr[g] = e.res.Bound(e.Q.Op, g)
 	}
+	e.sampled = true
 	return e.corr
 }
 
-// stratumEstimate computes one stratum's scaled SUM/COUNT estimates and
-// estimator variances from its sampled rows. A fully sampled stratum
-// (n == N) is exact: scale 1, variance 0. For n < N the variances use
-// the standard stratified-sampling form N²·s²/n·(1−n/N) with the
-// (n−1)-denominator sample variance; n ≥ 2 whenever n < N because the
-// per-stratum sample floor is at least 2.
-func stratumEstimate(t *Table, q Query, sample []int32, N float64) (sum, cnt, sumVar, cntVar float64) {
-	n := float64(len(sample))
-	var sy, syy, sb float64
+// sampleMoments scans a stratum's sampled rows: the selected values'
+// sum and sum of squares, and the selected-row count.
+func sampleMoments(vals []float64, q Query, sample []int32) (sy, syy float64, sb int) {
 	for _, row := range sample {
-		v := t.vals[row]
-		if q.selects(v) {
-			sy += v
-			syy += v * v
-			sb++
-		}
+		x, k := q.Select(vals[row])
+		sy += x
+		syy += x * x
+		sb += k
 	}
+	return sy, syy, sb
+}
+
+// stratumEstimate computes one stratum's scaled SUM/COUNT estimates and
+// estimator variances from its sample moments over n of its N rows. A
+// fully sampled stratum (n == N) is exact: scale 1, variance 0. For
+// n < N the variances use the standard stratified-sampling form
+// N²·s²/n·(1−n/N) with the (n−1)-denominator sample variance; n ≥ 2
+// whenever n < N because the per-stratum sample floor is at least 2.
+func stratumEstimate(sy, syy, sb, n, N float64) (sum, cnt, sumVar, cntVar float64) {
 	scale := N / n
 	sum = scale * sy
 	cnt = scale * sb
@@ -286,27 +324,35 @@ func stratumEstimate(t *Table, q Query, sample []int32, N float64) (sum, cnt, su
 // ProcessSet improves the result with stratum g's original rows: the
 // sample-based estimate is replaced by an exact scan (Algorithm 1 line
 // 7). Strata map 1:1 onto group keys, so replacement is exact — no
-// floating-point retraction residue.
+// floating-point retraction residue. After ProcessSynopsis the scan
+// resumes past the sampled prefix from its selected sum and count:
+// the same additions in the same order as a scan from row 0.
 func (e *Engine) ProcessSet(g int) {
 	if e.done[g] {
 		return
 	}
 	e.done[g] = true
-	sum, cnt := exactStratum(e.Comp.T, e.Q, e.Comp.Syn.stratumRows(g))
+	rows := e.Comp.Syn.stratumRows(g)
+	var sum float64
+	var cnt int
+	if e.sampled {
+		rows = rows[e.Comp.Syn.SampleLen(e.Level, g):]
+		sum, cnt = e.preSum[g], e.preCnt[g]
+	}
+	sum, cnt = exactStratum(e.Comp.T.vals, e.Q, rows, sum, cnt)
 	e.res.Sum[g] = sum
-	e.res.Cnt[g] = cnt
+	e.res.Cnt[g] = float64(cnt)
 	e.res.SumVar[g] = 0
 	e.res.CntVar[g] = 0
 }
 
-// exactStratum scans a stratum's rows exactly.
-func exactStratum(t *Table, q Query, rows []int32) (sum, cnt float64) {
+// exactStratum continues an exact scan over rows from the selected sum
+// and count of the rows scanned before them.
+func exactStratum(vals []float64, q Query, rows []int32, sum float64, cnt int) (float64, int) {
 	for _, row := range rows {
-		v := t.vals[row]
-		if q.selects(v) {
-			sum += v
-			cnt++
-		}
+		x, k := q.Select(vals[row])
+		sum += x
+		cnt += k
 	}
 	return sum, cnt
 }
@@ -338,9 +384,9 @@ func ExactResult(c *Component, q Query) Result {
 func ExactResultInto(res Result, c *Component, q Query) Result {
 	res = res.Reset(c.T.NumKeys())
 	for g := 0; g < c.Syn.NumStrata(); g++ {
-		sum, cnt := exactStratum(c.T, q, c.Syn.stratumRows(g))
+		sum, cnt := exactStratum(c.T.vals, q, c.Syn.stratumRows(g), 0, 0)
 		res.Sum[g] = sum
-		res.Cnt[g] = cnt
+		res.Cnt[g] = float64(cnt)
 	}
 	return res
 }

@@ -5,12 +5,6 @@ import (
 	"math"
 )
 
-// Selects reports whether the query's filter window keeps a row value —
-// the exported form of the engine's row predicate, so streaming-ingest
-// delta scans fold unsampled rows with exactly the engine's selection
-// semantics.
-func (q Query) Selects(v float64) bool { return q.selects(v) }
-
 // TableFromColumns wraps caller-owned columnar storage as a Table
 // without copying. The ingest layer uses it to share one append-only
 // column pair across epoch snapshots: each snapshot's base table is a

@@ -2,9 +2,11 @@ package agg
 
 // Reference (naive) implementations of the aggregation engine, retained
 // as test-only helpers: the property tests assert the pooled,
-// buffer-reusing engine is bit-identical to simple allocation-heavy
-// semantics on randomized tables and queries, so the fast path cannot
-// silently diverge.
+// buffer-reusing engine — branch-free selection, exact scans resumed
+// past the sampled prefix — is bit-identical to simple allocation-heavy
+// semantics that filter with a plain branch and scan every stratum from
+// its first row, on randomized tables and on tables of special values,
+// so the fast path cannot silently diverge.
 
 import (
 	"fmt"
@@ -93,13 +95,31 @@ func naiveSynopsisAnswer(c *Component, q Query, level int) *naiveAnswer {
 	return na
 }
 
+// sameBits reports whether a and b have the same bit pattern, so that
+// −0.0 against +0.0 and differing NaNs count as differences.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameResult reports whether two results are bit-identical.
+func sameResult(a, b Result) bool {
+	if len(a.Sum) != len(b.Sum) {
+		return false
+	}
+	for k := range a.Sum {
+		if !sameBits(a.Sum[k], b.Sum[k]) || !sameBits(a.Cnt[k], b.Cnt[k]) ||
+			!sameBits(a.SumVar[k], b.SumVar[k]) || !sameBits(a.CntVar[k], b.CntVar[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkAgainstNaive asserts the engine result equals the naive maps
 // bit for bit.
 func checkAgainstNaive(t *testing.T, res Result, na *naiveAnswer, ctx string) {
 	t.Helper()
 	for k := range res.Sum {
-		if res.Sum[k] != na.sum[k] || res.Cnt[k] != na.cnt[k] ||
-			res.SumVar[k] != na.sumVar[k] || res.CntVar[k] != na.cntVar[k] {
+		if !sameBits(res.Sum[k], na.sum[k]) || !sameBits(res.Cnt[k], na.cnt[k]) ||
+			!sameBits(res.SumVar[k], na.sumVar[k]) || !sameBits(res.CntVar[k], na.cntVar[k]) {
 			t.Fatalf("%s: key %d got (%v,%v,%v,%v) want (%v,%v,%v,%v)", ctx, k,
 				res.Sum[k], res.Cnt[k], res.SumVar[k], res.CntVar[k],
 				na.sum[k], na.cnt[k], na.sumVar[k], na.cntVar[k])
@@ -128,9 +148,42 @@ func randomQuery(rng *stats.RNG) Query {
 	}
 }
 
+// checkEngineAgainstNaive runs Algorithm 1 on a pooled engine at one
+// ladder level — the synopsis pass, then every set in ranked order,
+// the first of them twice — and pins the result and the correlations
+// to the naive reference bit for bit after every step.
+func checkEngineAgainstNaive(t *testing.T, c *Component, q Query, level int, ctx string) {
+	t.Helper()
+	e := GetEngine(c, q, level)
+	defer e.Release()
+	corr := e.ProcessSynopsis()
+	na := naiveSynopsisAnswer(c, q, level)
+	checkAgainstNaive(t, e.Result(), na, ctx+" synopsis")
+	// Correlations must equal the naive per-stratum bounds.
+	for g := range corr {
+		want := 0.0
+		if c.Syn.StratumSize(g) > 0 {
+			want = naiveBound(na, q.Op, g)
+		}
+		if !sameBits(corr[g], want) {
+			t.Fatalf("%s: corr[%d] = %v, naive %v", ctx, g, corr[g], want)
+		}
+	}
+	// Improve sets in ranked order, checking after each.
+	for i, g := range rankDesc(corr) {
+		e.ProcessSet(g)
+		na.naiveExactStratum(c.T, q, c.Syn.stratumRows(g), g)
+		checkAgainstNaive(t, e.Result(), na, fmt.Sprintf("%s after set %d", ctx, i))
+		if i == 0 {
+			e.ProcessSet(g) // a repeat must leave the stratum as it is
+			checkAgainstNaive(t, e.Result(), na, ctx+" after repeating the first set")
+		}
+	}
+}
+
 // TestEngineMatchesNaiveReference pins the pooled engine bit-identical
-// to the naive reference on randomized seeds: after ProcessSynopsis at
-// every ladder level, and after each ranked ProcessSet improvement.
+// to the naive reference on randomized seeds, at every ladder level:
+// after ProcessSynopsis and after each ranked ProcessSet improvement.
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := stats.NewRNG(seed)
@@ -141,30 +194,139 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			q := randomQuery(rng)
-			level := rng.Intn(c.Syn.Levels())
-			e := GetEngine(c, q, level)
-			corr := e.ProcessSynopsis()
-			na := naiveSynopsisAnswer(c, q, level)
-			checkAgainstNaive(t, e.Result(), na,
-				fmt.Sprintf("seed %d trial %d level %d synopsis", seed, trial, level))
-			// Correlations must equal the naive per-stratum bounds.
-			for g := range corr {
-				want := 0.0
-				if c.Syn.StratumSize(g) > 0 {
-					want = naiveBound(na, q.Op, g)
-				}
-				if corr[g] != want {
-					t.Fatalf("seed %d trial %d: corr[%d] = %v, naive %v", seed, trial, g, corr[g], want)
+			for level := 0; level < c.Syn.Levels(); level++ {
+				checkEngineAgainstNaive(t, c, q, level,
+					fmt.Sprintf("seed %d trial %d level %d", seed, trial, level))
+			}
+		}
+	}
+}
+
+// specialEdges are finite filter-window bounds that also occur as row
+// values in specialComponents' tables.
+var specialEdges = []float64{-1.5, 0.5, 2}
+
+// specialComponents builds components whose rows hold the values on
+// which a branch-free filter could drift from the plain predicate —
+// NaN, ±Inf, −0.0 and +0.0, and the window edges themselves — beside
+// ordinary values of both signs. Keys are Zipf-skewed over the low
+// strata; the next one holds two rows, so the MinSample floor samples
+// it fully (n == N); the top two stay empty. One config also samples
+// every stratum fully at its finest level.
+func specialComponents(t *testing.T) []*Component {
+	t.Helper()
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	var comps []*Component
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := stats.NewRNG(seed ^ 0x5bec)
+		const keys = 10
+		tab := NewTable(keys)
+		z := stats.NewZipf(rng, keys-3, 1.3)
+		for i := 0; i < 300; i++ {
+			var v float64
+			switch rng.Intn(4) {
+			case 0:
+				v = specials[rng.Intn(len(specials))]
+			case 1:
+				v = specialEdges[rng.Intn(len(specialEdges))]
+			default:
+				v = rng.Norm(0, 2)
+			}
+			key := int32(z.Draw())
+			if i < 2 {
+				key = keys - 3 // a two-row stratum, below every sample floor
+			}
+			tab.Append(key, v)
+		}
+		for _, cfg := range []Config{{Seed: seed}, {Rates: []float64{0.1, 0.5, 1}, MinSample: 2, Seed: seed}} {
+			c, err := BuildComponent(tab, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var empty, full, partial int
+			for g := 0; g < c.Syn.NumStrata(); g++ {
+				switch N, n := c.Syn.StratumSize(g), c.Syn.SampleLen(0, g); {
+				case N == 0:
+					empty++
+				case n == N:
+					full++
+				default:
+					partial++
 				}
 			}
-			// Improve sets in ranked order, checking after each.
-			for i, g := range rankDesc(corr) {
-				e.ProcessSet(g)
-				na.naiveExactStratum(c.T, q, c.Syn.stratumRows(g), g)
-				checkAgainstNaive(t, e.Result(), na,
-					fmt.Sprintf("seed %d trial %d after set %d", seed, trial, i))
+			if empty == 0 || full == 0 || partial == 0 {
+				t.Fatalf("seed %d: %d empty, %d fully and %d partly sampled strata at level 0, want each",
+					seed, empty, full, partial)
 			}
-			e.Release()
+			comps = append(comps, c)
+		}
+	}
+	return comps
+}
+
+// TestEngineMatchesNaiveOnSpecialValues pins the engine to the naive
+// reference on tables of special values, for every op, every ladder
+// level and every window drawn from finite edges and infinite bounds
+// (including empty and inverted windows). It also pins the engine's
+// exact answer and Select itself to the plain predicate.
+func TestEngineMatchesNaiveOnSpecialValues(t *testing.T) {
+	bounds := append([]float64{math.Inf(-1), math.Copysign(0, -1), math.Inf(1)}, specialEdges...)
+	for ci, c := range specialComponents(t) {
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				for op := Sum; op <= Avg; op++ {
+					q := Query{Op: op, Lo: lo, Hi: hi}
+					for level := 0; level < c.Syn.Levels(); level++ {
+						checkEngineAgainstNaive(t, c, q, level,
+							fmt.Sprintf("comp %d %v [%v,%v) level %d", ci, op, lo, hi, level))
+					}
+				}
+				q := Query{Lo: lo, Hi: hi}
+				na := newNaiveAnswer()
+				for g := 0; g < c.Syn.NumStrata(); g++ {
+					na.naiveExactStratum(c.T, q, c.Syn.stratumRows(g), g)
+				}
+				checkAgainstNaive(t, ExactResult(c, q), na, fmt.Sprintf("comp %d exact [%v,%v)", ci, lo, hi))
+				for i := 0; i < c.T.NumRows(); i++ {
+					v := c.T.Value(i)
+					x, k := q.Select(v)
+					if keep := lo <= v && v < hi; keep != (k == 1) || (keep && !sameBits(x, v)) ||
+						(!keep && (k != 0 || !sameBits(x, 0))) {
+						t.Fatalf("[%v,%v).Select(%v) = (%v, %d)", lo, hi, v, x, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProcessSetWithoutSynopsis checks that a ProcessSet with no
+// synopsis pass before it scans the stratum from its first row, also on
+// a pooled engine whose previous query did run the synopsis pass, and
+// that repeating it changes nothing.
+func TestProcessSetWithoutSynopsis(t *testing.T) {
+	c := specialComponents(t)[0]
+	rng := stats.NewRNG(17)
+	e := GetEngine(c, Query{}, 0)
+	defer e.Release()
+	for trial := 0; trial < 20; trial++ {
+		level := trial % c.Syn.Levels()
+		// A synopsis pass for another query leaves its prefix sums
+		// behind; Reset must not let the next query resume from them.
+		e.Reset(c, Query{Op: Sum, Lo: math.Inf(-1), Hi: math.Inf(1)}, level)
+		e.ProcessSynopsis()
+		q := Query{Op: Op(rng.Intn(3)), Lo: rng.Norm(-1, 1), Hi: rng.Norm(1, 1)}
+		e.Reset(c, q, level)
+		na := newNaiveAnswer()
+		for g := c.Syn.NumStrata() - 1; g >= 0; g-- {
+			e.ProcessSet(g)
+			na.naiveExactStratum(c.T, q, c.Syn.stratumRows(g), g)
+			checkAgainstNaive(t, e.Result(), na, fmt.Sprintf("trial %d set %d", trial, g))
+			e.ProcessSet(g)
+			checkAgainstNaive(t, e.Result(), na, fmt.Sprintf("trial %d set %d repeated", trial, g))
+		}
+		if !sameResult(e.Result(), ExactResult(c, q)) {
+			t.Fatalf("trial %d: every set improved without a synopsis pass diverges from ExactResult", trial)
 		}
 	}
 }
@@ -225,11 +387,8 @@ func TestEngineResetReuseMatchesFresh(t *testing.T) {
 			fresh.ProcessSet(g)
 			reused.ProcessSet(g)
 		}
-		for k := range fresh.res.Sum {
-			if fresh.res.Sum[k] != reused.res.Sum[k] || fresh.res.SumVar[k] != reused.res.SumVar[k] ||
-				fresh.res.Cnt[k] != reused.res.Cnt[k] || fresh.res.CntVar[k] != reused.res.CntVar[k] {
-				t.Fatalf("trial %d key %d: reused diverges from fresh", trial, k)
-			}
+		if !sameResult(fresh.res, reused.res) {
+			t.Fatalf("trial %d: reused diverges from fresh", trial)
 		}
 	}
 }
@@ -253,17 +412,13 @@ func TestFullyImprovedMatchesExact(t *testing.T) {
 		}
 		want := ExactResult(c, q)
 		reused = ExactResultInto(reused, c, q)
-		for k := range want.Sum {
-			if e.res.Sum[k] != want.Sum[k] || e.res.Cnt[k] != want.Cnt[k] {
-				t.Fatalf("trial %d key %d: improved (%v,%v) exact (%v,%v)",
-					trial, k, e.res.Sum[k], e.res.Cnt[k], want.Sum[k], want.Cnt[k])
-			}
-			if e.res.SumVar[k] != 0 || e.res.CntVar[k] != 0 {
-				t.Fatalf("trial %d key %d: nonzero variance after full improvement", trial, k)
-			}
-			if reused.Sum[k] != want.Sum[k] || reused.Cnt[k] != want.Cnt[k] {
-				t.Fatalf("trial %d key %d: ExactResultInto diverges from ExactResult", trial, k)
-			}
+		// Exact results carry +0.0 variances, so sameResult also pins
+		// the improved variances to zero.
+		if !sameResult(e.res, want) {
+			t.Fatalf("trial %d: fully improved result diverges from ExactResult", trial)
+		}
+		if !sameResult(reused, want) {
+			t.Fatalf("trial %d: ExactResultInto diverges from ExactResult", trial)
 		}
 	}
 }

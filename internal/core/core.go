@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -61,7 +61,17 @@ func Rank(corr []float64) []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool { return corr[ids[a]] > corr[ids[b]] })
+	// The comparator is negative exactly when corr[a] > corr[b]; the
+	// sort is stable, so tied ids keep ascending order.
+	slices.SortStableFunc(ids, func(a, b int) int {
+		if corr[a] > corr[b] {
+			return -1
+		}
+		if corr[b] > corr[a] {
+			return 1
+		}
+		return 0
+	})
 	return ids
 }
 

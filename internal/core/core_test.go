@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,6 +119,65 @@ func TestRunRankingIsPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRank is an independent stable ranking for NaN-free correlations:
+// insertion by descending correlation, each id placed after every
+// earlier id whose correlation is not lower, so ties (±0 included) keep
+// the lower id first.
+func refRank(corr []float64) []int {
+	ids := make([]int, 0, len(corr))
+	for i := range corr {
+		j := len(ids)
+		for j > 0 && corr[i] > corr[ids[j-1]] {
+			j--
+		}
+		ids = slices.Insert(ids, j, i)
+	}
+	return ids
+}
+
+// TestRankMatchesStableReference pins Rank's order on correlations drawn
+// from a small pool, so ties are common, with ±0, ±Inf and NaN, at
+// lengths across the stable sort's insertion-block boundaries. NaN-free
+// inputs must match refRank. NaN compares false both ways, so the order
+// around it is the sort algorithm's; those inputs must match
+// sort.SliceStable under the same less function, the ranking Algorithm
+// 1 has always used.
+func TestRankMatchesStableReference(t *testing.T) {
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 0.25, 0.5, 0.5, 1}
+	rng := stats.NewRNG(99)
+	for trial := 0; trial < 3000; trial++ {
+		corr := make([]float64, rng.Intn(70))
+		withNaN := trial%2 == 0
+		for i := range corr {
+			if withNaN {
+				corr[i] = pool[rng.Intn(len(pool))]
+			} else {
+				corr[i] = pool[1+rng.Intn(len(pool)-1)]
+			}
+		}
+		want := refRank(corr)
+		if withNaN {
+			want = make([]int, len(corr))
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return corr[want[a]] > corr[want[b]] })
+		}
+		if got := Rank(corr); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Rank(%v) = %v, want %v", trial, corr, got, want)
+		}
+	}
+}
+
+// TestRankAllocatesOnlyItsResult pins Rank at one allocation, the
+// returned ids: the sort itself allocates nothing.
+func TestRankAllocatesOnlyItsResult(t *testing.T) {
+	corr := []float64{0.3, 0.9, 0.1, 0.9, 0.5}
+	if n := testing.AllocsPerRun(100, func() { Rank(corr) }); n != 1 {
+		t.Fatalf("Rank allocates %v per call, want 1", n)
 	}
 }
 

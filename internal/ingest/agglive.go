@@ -49,10 +49,9 @@ func (s *AggSnapshot) DeltaRows() int { return len(s.deltaKeys) }
 // what keeps Bounded-class accuracy floors honest between compactions.
 func (s *AggSnapshot) FoldDelta(res agg.Result, q agg.Query) {
 	for i, k := range s.deltaKeys {
-		if v := s.deltaVals[i]; q.Selects(v) {
-			res.Sum[k] += v
-			res.Cnt[k]++
-		}
+		x, hit := q.Select(s.deltaVals[i])
+		res.Sum[k] += x
+		res.Cnt[k] += float64(hit)
 	}
 }
 
